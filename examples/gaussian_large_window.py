@@ -41,7 +41,7 @@ def main() -> None:
         plan = plan_memory_mapping(cfg, report.row_bits_worst)
         luts = model.overall(window).luts
         trad_brams = traditional_bram_count(cfg)
-        fits = XC7Z020.fits(luts=luts, bram18k=plan.total_brams)
+        fits = XC7Z020.accommodates({"luts": luts, "bram18": plan.total_brams})
         rows.append(
             [
                 f"{sigma:g}",

@@ -62,7 +62,6 @@ from .core.stats import BandAnalysis, ImageCompressionReport, analyze_band, anal
 from .core.threshold import AdaptiveThresholdController, choose_threshold_for_budget
 from .core.packing.packer import BandCodec, EncodedBand
 from .core.window import (
-    CompressedCycleEngine,
     CompressedEngine,
     GoldenEngine,
     MultiChannelEngine,
@@ -111,7 +110,6 @@ __all__ = [
     "TraditionalEngine",
     "TraditionalCycleEngine",
     "CompressedEngine",
-    "CompressedCycleEngine",
     "SlidingWindowPipeline",
     "PipelineStage",
     "WindowRun",

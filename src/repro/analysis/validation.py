@@ -1,10 +1,11 @@
 """Cross-engine validation: prove every model computes the same thing.
 
 Runs the same image and kernel through the golden oracle, the traditional
-engines (analytic + cycle-accurate) and the compressed engines (fast,
-bit-exact and register-level), then checks the paper's functional claims:
-all lossless paths agree exactly, and the lossy paths agree with each
-other.  Used by the test suite and exposed via ``repro validate``.
+engines (analytic + cycle-accurate), the compressed engine (fast and
+bit-exact) and the register-level model, then checks the paper's
+functional claims: all lossless paths agree exactly, and the lossy paths
+agree with each other.  Used by the test suite and exposed via
+``repro validate``.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..config import ArchitectureConfig
-from ..core.window.compressed import CompressedCycleEngine, CompressedEngine
+from ..core.window.compressed import CompressedEngine
 from ..core.window.golden import GoldenEngine
 from ..core.window.stream import PixelStreamSimulator
 from ..core.window.traditional import TraditionalCycleEngine, TraditionalEngine
@@ -68,9 +69,9 @@ def validate_engines(
 
     For a lossless config every engine must match the golden oracle
     bit-for-bit.  For a lossy config the reference becomes the fast
-    compressed engine, and the bit-exact / register-level engines must
-    match *it* exactly (the traditional engines are skipped — they see
-    raw pixels by design).
+    compressed engine, and the bit-exact engine and the register-level
+    model must match *it* exactly (the traditional engines are skipped —
+    they see raw pixels by design).
     """
     arr = np.asarray(image)
     golden = GoldenEngine(config, kernel).run(arr).outputs
@@ -83,16 +84,14 @@ def validate_engines(
 
     comparisons: list[EngineComparison] = []
     compressed_fast = CompressedEngine(config, kernel).run(arr).outputs
+    bit_exact = CompressedEngine(config, kernel, bit_exact=True).run(arr).outputs
 
     if config.lossless:
         reference = golden
         candidates: list[tuple[str, np.ndarray]] = [
             ("traditional (analytic)", TraditionalEngine(config, kernel).run(arr).outputs),
             ("compressed (fast)", compressed_fast),
-            (
-                "compressed (bit-exact)",
-                CompressedEngine(config, kernel, bit_exact=True).run(arr).outputs,
-            ),
+            ("compressed (bit-exact)", bit_exact),
         ]
         if include_cycle_engines:
             candidates.append(
@@ -101,39 +100,16 @@ def validate_engines(
                     TraditionalCycleEngine(config, kernel).run(arr).outputs,
                 )
             )
-            candidates.append(
-                (
-                    "compressed (register-level)",
-                    CompressedCycleEngine(config, kernel).run(arr).outputs,
-                )
-            )
-            candidates.append(
-                (
-                    "compressed (pixel-stream)",
-                    PixelStreamSimulator(config, kernel).run(arr).outputs,
-                )
-            )
     else:
         reference = compressed_fast
-        candidates = [
+        candidates = [("compressed (bit-exact)", bit_exact)]
+    if include_cycle_engines:
+        candidates.append(
             (
-                "compressed (bit-exact)",
-                CompressedEngine(config, kernel, bit_exact=True).run(arr).outputs,
-            ),
-        ]
-        if include_cycle_engines:
-            candidates.append(
-                (
-                    "compressed (register-level)",
-                    CompressedCycleEngine(config, kernel).run(arr).outputs,
-                )
+                "compressed (register-level)",
+                PixelStreamSimulator(config, kernel).run(arr).outputs,
             )
-            candidates.append(
-                (
-                    "compressed (pixel-stream)",
-                    PixelStreamSimulator(config, kernel).run(arr).outputs,
-                )
-            )
+        )
 
     for name, outputs in candidates:
         d = delta(reference, outputs)

@@ -198,7 +198,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_val.add_argument("--window", type=int, default=8)
     p_val.add_argument("--threshold", type=int, default=0)
     p_val.add_argument(
-        "--no-cycle", action="store_true", help="skip the slow register-level engines"
+        "--no-cycle",
+        action="store_true",
+        help=(
+            "skip the cycle-accurate traditional engine and the slow "
+            "register-level model"
+        ),
     )
 
     p_cod = sub.add_parser(

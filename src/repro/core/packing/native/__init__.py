@@ -32,11 +32,9 @@ __all__ = [
     "threshold_inplace",
     "pair_reduce",
     "stack_nbits",
-    "bit_widths",
     "occupancy_peaks",
     "pack_values",
     "unpack_values",
-    "pack_column",
 ]
 
 
@@ -169,14 +167,6 @@ def stack_nbits(plane: np.ndarray) -> np.ndarray:
     return nbits
 
 
-def bit_widths(values: np.ndarray) -> np.ndarray:
-    """Element-wise minimum two's-complement widths (``bit_widths_signed``)."""
-    arr = np.ascontiguousarray(values, dtype=np.int64)
-    out = np.empty(arr.shape, dtype=np.int64)
-    load().repro_bit_widths_i64(_p_i64(arr), arr.size, _p_i64(out))
-    return out
-
-
 def occupancy_peaks(
     cols: np.ndarray,
     window_size: int,
@@ -253,36 +243,3 @@ def unpack_values(
         _p_u8(bit_arr), _p_i64(wid), wid.size, 1 if signed else 0, _p_i64(out)
     )
     return out
-
-
-def pack_column(
-    column: np.ndarray, *, threshold: int = 0, exempt_even: bool = False
-) -> tuple[int, int, np.ndarray, np.ndarray]:
-    """Native ``pack_interleaved_column`` core.
-
-    Returns ``(nbits_even, nbits_odd, bitmap, payload)`` for one
-    even-length interleaved coefficient column.
-    """
-    col = np.ascontiguousarray(column, dtype=np.int64)
-    if col.ndim != 1 or col.size % 2:
-        raise ConfigError(
-            f"expected an even-length 1D column, got shape {col.shape}"
-        )
-    if threshold < 0:
-        raise ConfigError(f"threshold must be >= 0, got {threshold}")
-    n = col.size
-    nbits = np.empty(2, dtype=np.int64)
-    bitmap = np.empty(n, dtype=np.uint8)
-    payload = np.empty(n * 64, dtype=np.uint8)
-    used = int(
-        load().repro_pack_column(
-            _p_i64(col),
-            n,
-            threshold,
-            1 if exempt_even else 0,
-            _p_i64(nbits),
-            _p_u8(bitmap),
-            _p_u8(payload),
-        )
-    )
-    return int(nbits[0]), int(nbits[1]), bitmap.astype(bool), payload[:used].copy()

@@ -57,13 +57,6 @@ width_i32(int32_t v)
     return (uint8_t)((m ? 32 - __builtin_clz(m) : 0) + 1);
 }
 
-static inline uint8_t
-width_i64(int64_t v)
-{
-    uint64_t m = (uint64_t)(v ^ (v >> 63));
-    return (uint8_t)((m ? 64 - __builtin_clzll(m) : 0) + 1);
-}
-
 /* -- pair transform (shared-row dataflow, level 1) -------------------- */
 
 /* Single-level 2x2 Haar transform of every adjacent row pair of an
@@ -236,15 +229,6 @@ repro_stack_nbits_i32(const int32_t *plane, int64_t t_total, int64_t rows,
     }
 }
 
-/* -- element-wise widths ---------------------------------------------- */
-
-REPRO_API void
-repro_bit_widths_i64(const int64_t *values, int64_t count, int64_t *out)
-{
-    for (int64_t i = 0; i < count; i++)
-        out[i] = width_i64(values[i]);
-}
-
 /* -- FIFO occupancy peaks --------------------------------------------- */
 
 /* Per-traversal maximum of sliding_occupancy over a (t_total, w) column
@@ -313,48 +297,4 @@ repro_unpack_values(const uint8_t *bits, const int64_t *widths,
             v -= (int64_t)1 << wd;
         out[i] = v;
     }
-}
-
-/* -- one interleaved column ------------------------------------------- */
-
-/* pack_interleaved_column: threshold, per-parity NBits, significance
- * bitmap and the LSB-first payload of one n-element column.  payload
- * must hold at least 64 * n bits.  Returns the payload bit count;
- * nbits_out receives {even, odd}. */
-REPRO_API int64_t
-repro_pack_column(const int64_t *column, int64_t n, int64_t threshold,
-                  int64_t exempt_even, int64_t *nbits_out,
-                  uint8_t *bitmap, uint8_t *payload)
-{
-    uint8_t nb_even = 1, nb_odd = 1;
-    for (int64_t i = 0; i < n; i++) {
-        int64_t v = column[i];
-        int even = (i & 1) == 0;
-        if (threshold > 0 && !(exempt_even && even) && v < threshold &&
-            v > -threshold)
-            v = 0;
-        uint8_t wd = width_i64(v);
-        if (even) {
-            if (wd > nb_even)
-                nb_even = wd;
-        } else if (wd > nb_odd) {
-            nb_odd = wd;
-        }
-        bitmap[i] = v != 0;
-    }
-    int64_t pos = 0;
-    for (int64_t i = 0; i < n; i++) {
-        if (!bitmap[i])
-            continue;
-        int64_t v = column[i];
-        if (threshold > 0 && !(exempt_even && (i & 1) == 0) &&
-            v < threshold && v > -threshold)
-            v = 0;
-        int64_t wd = (i & 1) == 0 ? nb_even : nb_odd;
-        for (int64_t k = 0; k < wd; k++)
-            payload[pos++] = (uint8_t)((v >> k) & 1);
-    }
-    nbits_out[0] = nb_even;
-    nbits_out[1] = nb_odd;
-    return pos;
 }

@@ -94,17 +94,12 @@ _SIGNATURES: dict[str, tuple[object, tuple[object, ...]]] = {
         (_p_i32, _i64, _i64, _i64, _p_u8, _p_u8, _p_u8, _p_i32, _p_i64, _p_i64, _p_i64),
     ),
     "repro_stack_nbits_i32": (None, (_p_i32, _i64, _i64, _i64, _p_i64)),
-    "repro_bit_widths_i64": (None, (_p_i64, _i64, _p_i64)),
     "repro_occupancy_peaks": (
         None,
         (_p_i64, _i64, _i64, _i64, _i64, _p_i64, _p_i64),
     ),
     "repro_pack_values": (_i64, (_p_i64, _p_i64, _i64, _p_u8)),
     "repro_unpack_values": (None, (_p_u8, _p_i64, _i64, _i64, _p_i64)),
-    "repro_pack_column": (
-        _i64,
-        (_p_i64, _i64, _i64, _i64, _p_i64, _p_u8, _p_u8),
-    ),
 }
 
 _lib: ctypes.CDLL | None = None

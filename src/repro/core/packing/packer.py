@@ -1,4 +1,4 @@
-"""Vectorised column and band codecs (the fast-path compression engine).
+"""Vectorised band codec (the fast-path compression engine).
 
 The hardware compresses the active window's exiting column every cycle; a
 whole row-band of the image therefore passes through the compressor exactly
@@ -43,92 +43,6 @@ SUBBAND_NAMES = ("LL", "HL", "LH", "HH")
 def subband_of(row: int, col: int) -> str:
     """Sub-band name of interleaved-plane element ``(row, col)``."""
     return SUBBAND_NAMES[(row % 2) * 2 + (col % 2)]
-
-
-@dataclass(frozen=True, slots=True)
-class PackedColumn:
-    """One compressed interleaved-plane column.
-
-    Attributes
-    ----------
-    nbits_even, nbits_odd:
-        NBits of the even-row sub-band (LL or HL) and odd-row sub-band
-        (LH or HH) of this column.
-    bitmap:
-        Boolean significance flags, one per coefficient, top to bottom.
-    payload:
-        LSB-first bit array holding the packed non-zero coefficients in
-        row order.
-    """
-
-    nbits_even: int
-    nbits_odd: int
-    bitmap: np.ndarray
-    payload: np.ndarray
-
-    @property
-    def n_coefficients(self) -> int:
-        """Coefficients covered by this column record."""
-        return int(self.bitmap.size)
-
-    @property
-    def payload_bits(self) -> int:
-        """Packed data bits (excludes management)."""
-        return int(self.payload.size)
-
-    def management_bits(self, nbits_field_width: int) -> int:
-        """Management bits: two NBits fields plus one bitmap bit each."""
-        return 2 * nbits_field_width + self.n_coefficients
-
-    def total_bits(self, nbits_field_width: int) -> int:
-        """Payload plus management bits."""
-        return self.payload_bits + self.management_bits(nbits_field_width)
-
-    def widths(self) -> np.ndarray:
-        """Per-coefficient packed widths implied by bitmap and NBits."""
-        n = self.bitmap.size
-        per_row = np.where(np.arange(n) % 2 == 0, self.nbits_even, self.nbits_odd)
-        return np.where(self.bitmap, per_row, 0)
-
-
-def pack_interleaved_column(
-    column: np.ndarray,
-    *,
-    threshold: int = 0,
-    exempt_even: bool = False,
-) -> PackedColumn:
-    """Compress one interleaved coefficient column (Section IV.B).
-
-    Parameters
-    ----------
-    column:
-        1D integer array of N coefficients; even indices belong to one
-        sub-band, odd indices to the other.
-    threshold:
-        Coefficients with ``abs(c) < threshold`` are zeroed first.
-    exempt_even:
-        Exempt the even-row sub-band from thresholding (used for LL columns
-        under the ``threshold_bands="details"`` policy).
-    """
-    col = np.asarray(column)
-    if col.ndim != 1 or col.size % 2:
-        raise ConfigError(f"expected an even-length 1D column, got shape {col.shape}")
-    exempt = None
-    if exempt_even:
-        exempt = np.arange(col.size) % 2 == 0
-    significant = apply_threshold(col, threshold, exempt_mask=exempt)
-    nbits_even = int(min_bits_signed(significant[0::2]))
-    nbits_odd = int(min_bits_signed(significant[1::2]))
-    bitmap = significant != 0
-    per_row = np.where(np.arange(col.size) % 2 == 0, nbits_even, nbits_odd)
-    widths = np.where(bitmap, per_row, 0)
-    payload = values_to_bits(significant, widths)
-    return PackedColumn(
-        nbits_even=nbits_even,
-        nbits_odd=nbits_odd,
-        bitmap=bitmap,
-        payload=payload,
-    )
 
 
 @dataclass(frozen=True)

@@ -6,8 +6,9 @@
   architecture: fast analytic engine plus a cycle-accurate FIFO simulator.
 - :mod:`repro.core.window.compressed` — the paper's modified architecture:
   a fast vectorised engine (band codec, with optional recirculation error
-  feedback) plus a register-level streaming engine built from the hardware
-  block models.
+  feedback).
+- :mod:`repro.core.window.stream` — the one register-level model: the
+  Fig 4 dataflow streamed pixel by pixel through the hardware block models.
 - :mod:`repro.core.window.active` — the active-window shift-register model.
 - :mod:`repro.core.window.pipeline` — cascades of 2-5 sequential window
   operations (Section I's multi-stage motivation).
@@ -17,7 +18,7 @@ from .base import EngineStats, WindowRun, SlidingWindowEngine
 from .golden import sliding_windows, golden_apply, GoldenEngine
 from .active import ActiveWindow
 from .traditional import TraditionalEngine, TraditionalCycleEngine
-from .compressed import CompressedEngine, CompressedCycleEngine
+from .compressed import CompressedEngine
 from .pipeline import PipelineStage, SlidingWindowPipeline
 from .boundary import SameSizeEngine, pad_image
 from .color import MultiChannelEngine, MultiChannelRun
@@ -34,7 +35,6 @@ __all__ = [
     "TraditionalEngine",
     "TraditionalCycleEngine",
     "CompressedEngine",
-    "CompressedCycleEngine",
     "PipelineStage",
     "SlidingWindowPipeline",
     "SameSizeEngine",

@@ -1,23 +1,22 @@
 """The modified (compressed line-buffer) sliding window architecture.
 
-Two engines:
+:class:`CompressedEngine` is the production path.  Per row traversal it
+compresses the exiting window band (IWT -> threshold -> NBits/bitmap
+sizing), reconstructs it, and slides the kernel over the band the
+hardware would actually present: the newest row raw from the input, the
+older rows reconstructed from the line buffers.  With
+``recirculate=True`` (default, matching the hardware dataflow of Fig 4)
+reconstructed rows are re-compressed on every traversal, so lossy error
+feedback is modelled faithfully; ``recirculate=False`` gives the
+single-pass semantics most compression papers (this one included) quote
+MSE numbers for.
 
-- :class:`CompressedEngine` — the production path.  Per row traversal it
-  compresses the exiting window band (IWT -> threshold -> NBits/bitmap
-  sizing), reconstructs it, and slides the kernel over the band the
-  hardware would actually present: the newest row raw from the input, the
-  older rows reconstructed from the line buffers.  With
-  ``recirculate=True`` (default, matching the hardware dataflow of Fig 4)
-  reconstructed rows are re-compressed on every traversal, so lossy error
-  feedback is modelled faithfully; ``recirculate=False`` gives the
-  single-pass semantics most compression papers (this one included) quote
-  MSE numbers for.
-- :class:`CompressedCycleEngine` — streams every band through the
-  register-level block models (Fig 5 IWT blocks, Fig 7 NBits gates, Fig 6
-  packers, Fig 8 unpackers, Fig 10 IIWT blocks) for bit-true validation on
-  small images.
+The register-level model of the same datapath (Fig 5 IWT blocks, Fig 7
+NBits gates, Fig 6 packers, Fig 8 unpackers, Fig 10 IIWT blocks) is
+:class:`~repro.core.window.stream.PixelStreamSimulator`, property-tested
+bit-identical to this engine with ``recirculate=True``.
 
-In lossless mode every reconstruction is exact, so both engines produce
+In lossless mode every reconstruction is exact, so the engine produces
 output identical to the traditional architecture — the paper's headline
 functional claim, property-tested in the suite.
 
@@ -48,15 +47,12 @@ from typing import TYPE_CHECKING
 
 from ...config import ArchitectureConfig
 from ...errors import CapacityError, ConfigError
-from ...kernels.base import WindowKernel, as_kernel
+from ...kernels.base import WindowKernel
 from ...observability.probe import NULL_PROBE
 from ...resilience.band import EngineFaultSummary, ResilientBandCodec
 from ...resilience.injector import FaultInjector
 from ...resilience.protection import ProtectionPolicy, resolve_policy
 from ..packing import native as native_codec
-from ..packing.hw_pack import BitPackingUnit, PackedWord
-from ..packing.hw_unpack import BitUnpackingUnit
-from ..packing.nbits import NBitsGateModel
 from ..packing.packer import BandCodec
 from ..packing.tiers import resolve_codec
 from ..stats import (
@@ -66,7 +62,6 @@ from ..stats import (
     sliding_band_stack,
     sliding_occupancy,
 )
-from ..transform.hwmodel import Haar2DBlock, InverseHaar2DBlock
 from .base import EngineStats, SlidingWindowEngine, WindowRun
 from .golden import golden_apply
 from .traditional import traditional_fill_cycles
@@ -578,147 +573,3 @@ class CompressedEngine(SlidingWindowEngine):
             faults=faults,
         )
 
-
-class CompressedCycleEngine(SlidingWindowEngine):
-    """Register-level streaming model (validation engine, small images).
-
-    Every band flows through the actual hardware block models column by
-    column: the Fig 5 adder trees produce the coefficients, the Fig 7 gate
-    tree computes NBits, N Fig 6 packing units fill per-row word FIFOs, N
-    Fig 8 unpacking units drain them, and the Fig 10 blocks reconstruct
-    pixels.  Outputs and reconstructions are asserted by the test suite to
-    be bit-identical to :class:`CompressedEngine` with ``recirculate=True``.
-    """
-
-    def __init__(self, config: ArchitectureConfig, kernel: WindowKernel) -> None:
-        super().__init__(config, kernel)
-        if config.decomposition_levels != 1 or config.ll_dpcm:
-            from ...errors import ConfigError
-
-            raise ConfigError(
-                "the register-level engine models the paper's single-level "
-                "datapath; use CompressedEngine for multi-level configs"
-            )
-        wrap = config.coefficient_bits if config.wrap_coefficients else None
-        self._fwd = Haar2DBlock(wrap_bits=wrap)
-        self._inv = InverseHaar2DBlock(wrap_bits=wrap)
-        self._gate = NBitsGateModel(max(config.coefficient_bits, 2))
-
-    # -- per-band streaming ------------------------------------------------
-
-    def _transform_band(self, band: np.ndarray) -> np.ndarray:
-        """Interleaved coefficient plane via scalar Fig 5 blocks."""
-        n, w = band.shape
-        plane = np.zeros((n, w), dtype=np.int64)
-        for i in range(0, n, 2):
-            for j in range(0, w, 2):
-                ll, lh, hl, hh = self._fwd.forward(
-                    int(band[i, j]),
-                    int(band[i, j + 1]),
-                    int(band[i + 1, j]),
-                    int(band[i + 1, j + 1]),
-                )
-                plane[i, j] = ll
-                plane[i, j + 1] = hl
-                plane[i + 1, j] = lh
-                plane[i + 1, j + 1] = hh
-        return plane
-
-    def _stream_band(self, band: np.ndarray) -> np.ndarray:
-        """Pack and unpack one band through the register-level units."""
-        cfg = self.config
-        n, w = band.shape
-        plane = self._transform_band(band)
-
-        packers = [
-            BitPackingUnit(
-                word_bits=8,
-                threshold=cfg.threshold,
-                max_nbits=cfg.coefficient_bits,
-            )
-            for _ in range(n)
-        ]
-        words: list[list[PackedWord]] = [[] for _ in range(n)]
-        bitmaps = np.zeros((n, w), dtype=np.uint8)
-        nbits_even = np.zeros(w, dtype=np.int64)
-        nbits_odd = np.zeros(w, dtype=np.int64)
-
-        ll_exempt = cfg.threshold_bands == "details"
-        for j in range(w):
-            col = plane[:, j]
-            # Threshold applies before the NBits gate tree sees the column.
-            exempt_even = ll_exempt and j % 2 == 0
-            significant = col.copy()
-            if cfg.threshold:
-                kill = np.abs(significant) < cfg.threshold
-                if exempt_even:
-                    kill[0::2] = False
-                significant[kill] = 0
-            nbits_even[j] = self._gate.min_bits(significant[0::2])
-            nbits_odd[j] = self._gate.min_bits(significant[1::2])
-            for i in range(n):
-                nb = int(nbits_even[j] if i % 2 == 0 else nbits_odd[j])
-                bit, emitted = packers[i].step(
-                    int(col[i]),
-                    nb,
-                    exempt=exempt_even and i % 2 == 0,
-                )
-                bitmaps[i, j] = bit
-                words[i].extend(emitted)
-        for i in range(n):
-            words[i].extend(packers[i].flush())
-
-        plane_out = np.zeros((n, w), dtype=np.int64)
-        for i in range(n):
-            unpacker = BitUnpackingUnit(
-                words[i], word_bits=8, max_nbits=cfg.coefficient_bits
-            )
-            for j in range(w):
-                nb = int(nbits_even[j] if i % 2 == 0 else nbits_odd[j])
-                plane_out[i, j] = unpacker.step(int(bitmaps[i, j]), nb)
-
-        band_out = np.zeros((n, w), dtype=np.int64)
-        for i in range(0, n, 2):
-            for j in range(0, w, 2):
-                x00, x01, x10, x11 = self._inv.inverse(
-                    int(plane_out[i, j]),
-                    int(plane_out[i + 1, j]),
-                    int(plane_out[i, j + 1]),
-                    int(plane_out[i + 1, j + 1]),
-                )
-                band_out[i, j] = x00
-                band_out[i, j + 1] = x01
-                band_out[i + 1, j] = x10
-                band_out[i + 1, j + 1] = x11
-        if cfg.wrap_coefficients:
-            return band_out & cfg.pixel_max
-        return np.clip(band_out, 0, cfg.pixel_max)
-
-    def run(self, image: np.ndarray) -> WindowRun:
-        """Stream every traversal band through the hardware block models."""
-        arr = self._validate_image(image).astype(np.int64)
-        cfg = self.config
-        n, w, h = cfg.window_size, cfg.image_width, cfg.image_height
-        kern = as_kernel(self.kernel, window_size=n)
-
-        out_rows: list[np.ndarray] = []
-        reconstruction = arr.copy()
-        state = arr[0:n].copy()
-        for y in range(n - 1, h):
-            out_rows.append(golden_apply(state, n, kern)[0])
-            reconstruction[y - n + 1 : y + 1] = state
-            decoded = self._stream_band(state)
-            if y + 1 < h:
-                state = np.vstack([decoded[1:], arr[y + 1 : y + 2]])
-
-        outputs = np.vstack(out_rows)
-        fill = traditional_fill_cycles(n, w)
-        stats = EngineStats(
-            fill_cycles=fill,
-            process_cycles=arr.size - fill,
-            drain_cycles=0,
-            pixels_in=arr.size,
-            outputs=outputs.size,
-            traditional_buffer_bits=cfg.traditional_buffer_bits,
-        )
-        return WindowRun(outputs=outputs, stats=stats, reconstruction=reconstruction)

@@ -18,23 +18,16 @@ config      depth   width  capacity (bits)
 The paper's memory-unit sizing (Section V.E) is pure arithmetic over these
 geometries: a logical buffer of ``n_words`` words of ``word_bits`` bits
 needs ``ceil(word_bits / width) * ceil(n_words / depth)`` block RAMs in a
-given configuration, and the allocator picks the configuration minimising
-that count.
-
-The allocator entry points here (``brams_for`` / ``best_config`` /
-``min_brams``) are deprecated shims: the portfolio API in
-:mod:`repro.hardware.primitives` owns placement now, and the ``BRAM18``
-primitive there shares this module's geometry table, so the arithmetic
-stays bit-identical.  The data (``BramConfig`` / ``BRAM_CONFIGS`` /
-``BRAM_CAPACITY_BITS``) remains the authoritative RAMB18 description.
+given configuration.  That allocation lives in the portfolio API
+(:mod:`repro.hardware.primitives`), whose ``BRAM18`` primitive is built
+from this module's geometry table; the data here (``BramConfig`` /
+``BRAM_CONFIGS`` / ``BRAM_CAPACITY_BITS``) remains the authoritative
+RAMB18 description.
 """
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
-
-from ..errors import ConfigError
 
 #: Nominal capacity of one 18 Kb BRAM in its parity-capable configurations.
 BRAM_CAPACITY_BITS = 18 * 1024  # 18432
@@ -59,28 +52,6 @@ class BramConfig:
             return f"{self.depth // 1024}k x {self.width}"
         return f"{self.depth} x {self.width}"
 
-    def brams_for(self, n_words: int, word_bits: int) -> int:
-        """Deprecated; use :meth:`PortConfig.units_for
-        <repro.hardware.primitives.PortConfig.units_for>`."""
-        warnings.warn(
-            "BramConfig.brams_for is deprecated; use "
-            "repro.hardware.primitives.PortConfig.units_for",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return _units(self, n_words, word_bits)
-
-
-def _units(config: BramConfig, n_words: int, word_bits: int) -> int:
-    """Cascade count: wide words split side by side, deep buffers end
-    to end.  Integer ceiling divisions — float division would lose
-    exactness for bit counts beyond the 53-bit double mantissa."""
-    if n_words < 0 or word_bits < 0:
-        raise ConfigError("word count and width must be non-negative")
-    if n_words == 0 or word_bits == 0:
-        return 0
-    return (-(-word_bits // config.width)) * (-(-n_words // config.depth))
-
 
 #: All RAMB18 aspect ratios, widest first (the order the allocator scans).
 BRAM_CONFIGS: tuple[BramConfig, ...] = (
@@ -92,35 +63,3 @@ BRAM_CONFIGS: tuple[BramConfig, ...] = (
     BramConfig(depth=16384, width=1),
 )
 
-
-def best_config(n_words: int, word_bits: int) -> BramConfig:
-    """Deprecated; use ``primitives.BRAM18.best_config``.
-
-    Ties break toward the *narrowest* winning configuration, matching the
-    paper's published choices (e.g. a 128-wide x 1920-deep BitMap buffer
-    maps to 2k x 9 primitives) — the portfolio API keeps the same rule.
-    """
-    warnings.warn(
-        "best_config is deprecated; use "
-        "repro.hardware.primitives.BRAM18.best_config",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if n_words <= 0 or word_bits <= 0:
-        raise ConfigError(
-            f"buffer must be non-empty, got {n_words} words x {word_bits} bits"
-        )
-    return min(BRAM_CONFIGS, key=lambda c: (_units(c, n_words, word_bits), c.width))
-
-
-def min_brams(n_words: int, word_bits: int) -> int:
-    """Deprecated; use ``primitives.BRAM18.units_for``."""
-    warnings.warn(
-        "min_brams is deprecated; use "
-        "repro.hardware.primitives.BRAM18.units_for",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    if n_words == 0 or word_bits == 0:
-        return 0
-    return min(_units(c, n_words, word_bits) for c in BRAM_CONFIGS)

@@ -21,8 +21,6 @@ REP003    probe-purity            probe params default to None; probe-guarded
                                   branches only call probe methods.
 REP004    import-layering         Imports follow the layer DAG; __all__
                                   entries exist.
-REP005    no-deprecated-shims     No internal use of deprecated shim
-                                  locations (runtime.worker.EngineSpec).
 REP006    int64-width             Interval abstract interpretation: bit-exact
                                   arithmetic provably fits the int64 native
                                   ABI; ctypes declarations use sized types.

@@ -5,7 +5,7 @@ the CLI and the repo-consistency gate run.  Rules are instantiated
 fresh per call so callers can safely customise one instance (e.g. a
 narrowed bit-exact scope in tests) without affecting others.
 
-REP001–REP005 are the PR 5 syntactic rules; REP006–REP009 ride the
+REP001–REP004 are the syntactic rules; REP006–REP009 ride the
 CFG/dataflow engine (``lint/cfg.py`` + ``lint/dataflow.py``) or extend
 the invariant surface to the process boundary and the bench schemas.
 """
@@ -21,7 +21,6 @@ from .lifecycle import ResourceLifecycleRule
 from .lifecycle_flow import FlowLifecycleRule
 from .probes import ProbePurityRule
 from .schema import SchemaDriftRule
-from .shims import DeprecatedShimRule
 
 __all__ = [
     "ALLOWED_IMPORTS",
@@ -29,7 +28,6 @@ __all__ = [
     "IPC_CLASSES",
     "LAYER_PREFIXES",
     "BitExactRule",
-    "DeprecatedShimRule",
     "FlowLifecycleRule",
     "IntWidthRule",
     "IpcSafetyRule",
@@ -48,7 +46,6 @@ def default_rules() -> tuple[Rule, ...]:
         ResourceLifecycleRule(),
         ProbePurityRule(),
         LayeringRule(),
-        DeprecatedShimRule(),
         IntWidthRule(),
         FlowLifecycleRule(),
         IpcSafetyRule(),

@@ -30,13 +30,14 @@ def encode_array(array: np.ndarray) -> str:
 
 
 def decode_frame(
-    payload: object, shape: tuple[int, int]
+    payload: object, shape: tuple[int, int], pixel_max: int
 ) -> np.ndarray:
     """Decode a request's ``frame_b64`` field into an ``int64`` frame.
 
     Raises :class:`~repro.serve.http.HttpError` (status 400) on any
-    malformed payload: wrong type, broken base64, or a byte count that
-    does not match the gateway's configured geometry.
+    malformed payload: wrong type, broken base64, a byte count that does
+    not match the gateway's configured geometry, or a pixel outside
+    ``[0, pixel_max]`` (the engine would reject it on every attempt).
     """
     if not isinstance(payload, str):
         raise HttpError(400, "frame_b64 must be a base64 string")
@@ -52,4 +53,11 @@ def decode_frame(
             f"{shape[0]}x{shape[1]} int64 needs {expected}",
         )
     frame = np.frombuffer(raw, dtype="<i8").reshape(shape)
+    lo, hi = int(frame.min()), int(frame.max())
+    if lo < 0 or hi > pixel_max:
+        raise HttpError(
+            400,
+            f"frame pixels span [{lo}, {hi}]; the configured pixel range "
+            f"is [0, {pixel_max}]",
+        )
     return frame.astype(np.int64, copy=False)

@@ -10,7 +10,7 @@ from repro.kernels import BoxFilterKernel
 
 from helpers import random_image
 
-#: Cross-checks include the register-level cycle engines.
+#: Cross-checks include the cycle-accurate engine and the register-level model.
 pytestmark = pytest.mark.slow
 
 

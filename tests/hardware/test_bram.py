@@ -1,25 +1,14 @@
-"""Tests for the 18 Kb BRAM primitive model (now a deprecated shim).
+"""Tests for the 18 Kb BRAM geometry table.
 
-The geometry *data* (``BramConfig`` / ``BRAM_CONFIGS``) is still the
-canonical table — :data:`repro.hardware.primitives.BRAM18` is built from
-it.  The allocator *functions* here are deprecated shims; the arithmetic
-they wrapped lives in :mod:`repro.hardware.primitives` and is tested in
-``test_primitives.py``.  These tests pin the shim contract: same
-answers, plus a DeprecationWarning on every call.
+The geometry data (``BramConfig`` / ``BRAM_CONFIGS``) is the canonical
+table — :data:`repro.hardware.primitives.BRAM18` is built from it.  The
+allocation arithmetic lives in :mod:`repro.hardware.primitives` and is
+tested in ``test_primitives.py``.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.errors import ConfigError
-from repro.hardware.bram import (
-    BRAM_CAPACITY_BITS,
-    BRAM_CONFIGS,
-    BramConfig,
-    best_config,
-    min_brams,
-)
+from repro.hardware.bram import BRAM_CAPACITY_BITS, BRAM_CONFIGS, BramConfig
 
 
 class TestBramConfig:
@@ -38,87 +27,3 @@ class TestBramConfig:
     def test_name_for_non_k_depth(self):
         assert BramConfig(depth=512, width=36).name == "512 x 36"
         assert BramConfig(depth=2048, width=9).name == "2k x 9"
-
-
-class TestDeprecatedBramsFor:
-    def test_warns_and_still_computes(self):
-        cfg = BramConfig(depth=2048, width=9)
-        with pytest.warns(DeprecationWarning, match="brams_for"):
-            assert cfg.brams_for(2048, 9) == 1
-        with pytest.warns(DeprecationWarning):
-            assert cfg.brams_for(2049, 9) == 2  # depth cascade
-        with pytest.warns(DeprecationWarning):
-            assert cfg.brams_for(2048, 10) == 2  # width cascade
-        with pytest.warns(DeprecationWarning):
-            assert cfg.brams_for(0, 9) == 0
-
-    def test_negative_still_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                BramConfig(depth=512, width=36).brams_for(-1, 8)
-
-    def test_matches_replacement(self):
-        from repro.hardware.primitives import PortConfig
-
-        cfg = BramConfig(depth=1024, width=18)
-        with pytest.warns(DeprecationWarning):
-            old = cfg.brams_for(3000, 40)
-        assert old == PortConfig(depth=1024, width=18).units_for(3000, 40)
-
-
-class TestDeprecatedBestConfig:
-    def test_warns_and_keeps_paper_examples(self):
-        """Window 8/16/32 BitMaps at width 512 map to 2k x 9, 1k x 18, 512 x 36."""
-        with pytest.warns(DeprecationWarning, match="best_config"):
-            assert best_config(504, 8).name == "2k x 9"
-        with pytest.warns(DeprecationWarning):
-            assert best_config(496, 16).name == "1k x 18"
-        with pytest.warns(DeprecationWarning):
-            assert best_config(480, 32).name == "512 x 36"
-
-    def test_empty_buffer_rejected(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                best_config(0, 8)
-
-    def test_matches_replacement(self):
-        from repro.hardware.primitives import BRAM18
-
-        for depth, width in ((504, 8), (896, 128), (1920, 128)):
-            with pytest.warns(DeprecationWarning):
-                old = best_config(depth, width)
-            new = BRAM18.best_config(depth, width)
-            assert (old.depth, old.width) == (new.depth, new.width)
-
-
-class TestDeprecatedMinBrams:
-    def test_warns_and_keeps_table1_note(self):
-        """8-bit rows up to 2048 pixels fit one 2k x 9 BRAM (Table I note)."""
-        with pytest.warns(DeprecationWarning, match="min_brams"):
-            assert min_brams(2048, 8) == 1
-        with pytest.warns(DeprecationWarning):
-            assert min_brams(2049, 8) == 2
-
-    def test_zero_for_empty(self):
-        with pytest.warns(DeprecationWarning):
-            assert min_brams(0, 8) == 0
-        with pytest.warns(DeprecationWarning):
-            assert min_brams(8, 0) == 0
-
-    def test_matches_replacement(self):
-        from repro.hardware.primitives import BRAM18
-
-        for n_words in (1, 512, 2048, 4000):
-            for word_bits in (1, 8, 36, 128):
-                with pytest.warns(DeprecationWarning):
-                    old = min_brams(n_words, word_bits)
-                assert old == BRAM18.units_for(n_words, word_bits)
-
-    def test_lazy_reexport_from_package(self):
-        """The package serves the shim lazily (no static deprecated import)."""
-        import repro.hardware as hw
-
-        assert hw.min_brams is min_brams
-        assert "min_brams" not in hw.__all__
-        with pytest.raises(AttributeError):
-            hw.no_such_allocator

@@ -62,25 +62,6 @@ class TestAccommodates:
         assert XC7Z020.utilisation({"uram": 1})["uram"] == float("inf")
 
 
-class TestDeprecatedShims:
-    def test_fits_warns_and_delegates(self):
-        with pytest.warns(DeprecationWarning, match="accommodates"):
-            assert XC7Z020.fits(luts=53200, registers=106400, bram18k=280)
-        with pytest.warns(DeprecationWarning):
-            assert not XC7Z020.fits(luts=53201)
-
-    def test_fits_rejects_negative(self):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ConfigError):
-                XC7Z020.fits(luts=-1)
-
-    def test_utilisation_percent_warns_and_keeps_keys(self):
-        with pytest.warns(DeprecationWarning, match="utilisation"):
-            util = XC7Z020.utilisation_percent(luts=26600)
-        assert util["luts"] == 50.0
-        assert set(util) == {"luts", "registers", "bram18k"}
-
-
 class TestCatalog:
     def test_catalog_contains_evaluation_device(self):
         assert DEVICES["XC7Z020"] is XC7Z020

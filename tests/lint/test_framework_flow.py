@@ -285,10 +285,10 @@ class TestCliExitCodes:
 
 
 class TestDefaultRules:
-    def test_registry_has_nine_distinct_codes(self):
+    def test_registry_has_eight_distinct_codes(self):
         codes = [r.code for r in default_rules()]
-        assert len(codes) == len(set(codes)) == 9
-        assert codes == sorted(codes)  # REP001..REP009 in order
+        assert len(codes) == len(set(codes)) == 8
+        assert codes == sorted(codes)  # REP001..REP009 in order, no REP005
 
     def test_every_rule_has_description(self):
         for rule in default_rules():

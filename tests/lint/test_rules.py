@@ -5,7 +5,6 @@ from __future__ import annotations
 from repro.lint import ModuleSource, check_module
 from repro.lint.rules import (
     BitExactRule,
-    DeprecatedShimRule,
     LayeringRule,
     ProbePurityRule,
     ResourceLifecycleRule,
@@ -282,49 +281,4 @@ class TestRep004Layering:
     def test_non_repro_modules_unchecked(self):
         assert not _violations(
             LayeringRule(), "import os\nimport numpy\n", "repro.core.stats"
-        )
-
-
-class TestRep005DeprecatedShims:
-    def test_absolute_import_flagged(self):
-        found = _violations(
-            DeprecatedShimRule(),
-            "from repro.runtime.worker import EngineSpec\n",
-            "repro.analysis.fake",
-        )
-        assert found and "repro.spec.EngineSpec" in found[0].message
-
-    def test_relative_import_flagged(self):
-        assert _violations(
-            DeprecatedShimRule(),
-            "from ..runtime.worker import EngineSpec\n",
-            "repro.analysis.fake",
-        )
-
-    def test_attribute_access_flagged(self):
-        assert _violations(
-            DeprecatedShimRule(),
-            "import repro.runtime.worker as worker\nspec = worker.EngineSpec\n",
-            "repro.analysis.fake",
-        )
-
-    def test_promoted_location_clean(self):
-        assert not _violations(
-            DeprecatedShimRule(),
-            "from repro.spec import EngineSpec\n",
-            "repro.analysis.fake",
-        )
-
-    def test_shim_module_itself_exempt(self):
-        assert not _violations(
-            DeprecatedShimRule(),
-            "EngineSpec = None\n",
-            "repro.runtime.worker",
-        )
-
-    def test_other_worker_names_clean(self):
-        assert not _violations(
-            DeprecatedShimRule(),
-            "from repro.runtime.worker import FrameTask\n",
-            "repro.analysis.fake",
         )

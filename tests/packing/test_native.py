@@ -23,10 +23,9 @@ from repro.core.packing import (
     apply_threshold,
     bits_to_values,
     native,
-    pack_interleaved_column,
     values_to_bits,
 )
-from repro.core.packing.nbits import bit_widths_signed, min_bits_signed
+from repro.core.packing.nbits import min_bits_signed
 from repro.core.packing.tiers import reset_codec_state, resolve_codec
 from repro.core.stats import band_stack_sizes, sliding_occupancy
 from repro.kernels import BoxFilterKernel
@@ -85,11 +84,6 @@ class TestKernelEquivalence:
             expected = min_bits_signed(stack[:, q::2, :], axis=1)
             assert np.array_equal(nbits[:, q, :], expected)
 
-    def test_bit_widths_matches_reference(self, rng):
-        vals = rng.integers(-(2**40), 2**40, size=257)
-        vals[:6] = (0, -1, 1, 2**62, -(2**62), -(2**63))
-        assert np.array_equal(native.bit_widths(vals), bit_widths_signed(vals))
-
     def test_threshold_inplace_matches_apply_threshold(self, rng):
         plane = rng.integers(-40, 41, size=(7, 2, 10)).astype(np.int32)
         exempt = np.zeros((2, 10), dtype=bool)
@@ -119,19 +113,6 @@ class TestKernelEquivalence:
             decoded, bits_to_values(bits, widths, signed=signed)
         )
         assert np.array_equal(decoded, values)
-
-    @pytest.mark.parametrize("threshold,exempt", [(0, False), (5, False), (5, True)])
-    def test_pack_column_matches_reference(self, rng, threshold, exempt):
-        column = rng.integers(-60, 61, size=16)
-        ref = pack_interleaved_column(
-            column, threshold=threshold, exempt_even=exempt
-        )
-        ne, no, bitmap, payload = native.pack_column(
-            column, threshold=threshold, exempt_even=exempt
-        )
-        assert (ne, no) == (ref.nbits_even, ref.nbits_odd)
-        assert np.array_equal(bitmap, ref.bitmap)
-        assert np.array_equal(payload, ref.payload)
 
     def test_occupancy_peaks_matches_sliding_occupancy(self, rng):
         t_total, w, n, mgmt = 9, 20, 6, 11

@@ -1,4 +1,4 @@
-"""Tests for the column packer and whole-band codec."""
+"""Tests for the whole-band codec."""
 
 from __future__ import annotations
 
@@ -9,19 +9,8 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from repro import ArchitectureConfig
-from repro.core.packing.packer import (
-    BandCodec,
-    pack_interleaved_column,
-    subband_of,
-)
-from repro.core.packing.unpacker import unpack_interleaved_column
+from repro.core.packing.packer import BandCodec, subband_of
 from repro.errors import BitstreamError, ConfigError
-
-columns = hnp.arrays(
-    dtype=np.int32,
-    shape=st.integers(1, 32).map(lambda n: 2 * n),
-    elements=st.integers(-511, 511),
-)
 
 bands = hnp.arrays(
     dtype=np.int32,
@@ -47,64 +36,6 @@ class TestSubbandOf:
     )
     def test_parity_map(self, row, col, name):
         assert subband_of(row, col) == name
-
-
-class TestPackColumn:
-    def test_all_zero_column(self):
-        packed = pack_interleaved_column(np.zeros(8, dtype=int))
-        assert packed.payload_bits == 0
-        assert not packed.bitmap.any()
-        assert packed.nbits_even == 1
-        assert packed.nbits_odd == 1
-
-    def test_management_bits_formula(self):
-        packed = pack_interleaved_column(np.zeros(8, dtype=int))
-        assert packed.management_bits(4) == 2 * 4 + 8
-        assert packed.total_bits(4) == packed.payload_bits + 16
-
-    def test_payload_counts_only_nonzero(self):
-        col = np.array([10, 0, 0, 0], dtype=int)  # even rows band: 10, 0
-        packed = pack_interleaved_column(col)
-        # NBits(10) = 5; one significant coefficient.
-        assert packed.nbits_even == 5
-        assert packed.payload_bits == 5
-
-    def test_threshold_zeroes_small(self):
-        col = np.array([1, -1, 8, 2], dtype=int)
-        packed = pack_interleaved_column(col, threshold=3)
-        assert packed.bitmap.tolist() == [False, False, True, False]
-
-    def test_exempt_even_rows(self):
-        col = np.array([1, 1, 1, 1], dtype=int)
-        packed = pack_interleaved_column(col, threshold=5, exempt_even=True)
-        assert packed.bitmap.tolist() == [True, False, True, False]
-
-    def test_odd_length_rejected(self):
-        with pytest.raises(ConfigError):
-            pack_interleaved_column(np.zeros(7, dtype=int))
-
-    @given(columns, st.integers(0, 12))
-    @settings(max_examples=200, deadline=None)
-    def test_roundtrip(self, col, threshold):
-        packed = pack_interleaved_column(col, threshold=threshold)
-        out = unpack_interleaved_column(packed)
-        expected = np.where(np.abs(col) < threshold, 0, col)
-        assert np.array_equal(out, expected)
-
-    @given(columns)
-    @settings(max_examples=100, deadline=None)
-    def test_lossless_roundtrip(self, col):
-        assert np.array_equal(
-            unpack_interleaved_column(pack_interleaved_column(col)), col
-        )
-
-    def test_corrupted_payload_detected(self):
-        packed = pack_interleaved_column(np.array([10, 20, 30, 40], dtype=int))
-        import dataclasses
-
-        bad = dataclasses.replace(packed, payload=packed.payload[:-1])
-        with pytest.raises(BitstreamError):
-            unpack_interleaved_column(bad)
 
 
 class TestBandCodec:

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as npst
 
-from repro import ArchitectureConfig
+from repro import ArchitectureConfig, CompressedEngine
 from repro.imaging import generate_scene
 from repro.kernels import BoxFilterKernel
 from repro.serve import (
@@ -165,6 +165,27 @@ class TestBadFrameJobs:
         ).encode()
         status, _, _ = request(gateway, "POST", "/v1/frames", body)
         assert status == 400
+
+    def test_out_of_range_pixels_400_then_still_serving(self, gateway, frame):
+        """A pixel outside [0, pixel_max] is a client error answered at
+        decode; it never reaches a worker, and the gateway keeps serving."""
+        arch = ArchitectureConfig(
+            image_width=RES, image_height=RES, window_size=WINDOW
+        )
+        for bad_value in (arch.pixel_max + 1, -1):
+            bad = frame.copy()
+            bad[RES // 2, RES // 3] = bad_value
+            status, _, payload = post_frame(gateway, bad)
+            assert status == 400
+            assert "pixel range" in payload["error"]
+
+        status, _, payload = post_frame(gateway, frame)
+        assert status == 200
+        expected = CompressedEngine(arch, BoxFilterKernel(WINDOW)).run(frame)
+        assert payload["outputs_b64"] == encode_array(expected.outputs)
+
+        status, _, _ = request(gateway, "GET", "/healthz")
+        assert status == 200
 
 
 class TestServedFrames:

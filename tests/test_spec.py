@@ -1,10 +1,8 @@
-"""The :class:`~repro.spec.EngineSpec` front door and its legacy shim.
+"""The :class:`~repro.spec.EngineSpec` front door.
 
 One spec value must build every engine family, survive pickling (the
-streaming workers' transport), apply threshold overrides without
-mutating the original config, and keep the deprecated
-``repro.runtime.worker.EngineSpec`` import path working — with a
-:class:`DeprecationWarning` — for one release.
+streaming workers' transport) and apply threshold overrides without
+mutating the original config.
 """
 
 from __future__ import annotations
@@ -128,12 +126,7 @@ class TestTransport:
 
 
 class TestDeprecatedImportPath:
-    def test_runtime_worker_shim_warns_and_aliases(self):
-        import repro.runtime.worker as worker
-
-        with pytest.warns(DeprecationWarning, match="repro.spec"):
-            legacy = worker.EngineSpec
-        assert legacy is EngineSpec
+    """``repro.runtime`` re-exports the one ``EngineSpec`` without warning."""
 
     def test_runtime_package_reexport_does_not_warn(self, recwarn):
         from repro.runtime import EngineSpec as runtime_spec
@@ -142,9 +135,3 @@ class TestDeprecatedImportPath:
         assert not [
             w for w in recwarn.list if w.category is DeprecationWarning
         ]
-
-    def test_shim_still_raises_for_unknown_names(self):
-        import repro.runtime.worker as worker
-
-        with pytest.raises(AttributeError):
-            worker.no_such_symbol

@@ -117,15 +117,13 @@ class TestMultilevelConfig:
             )
 
     def test_register_engines_reject_multilevel(self, rng):
-        from repro import ArchitectureConfig, CompressedCycleEngine
+        from repro import ArchitectureConfig
         from repro.core.window.stream import PixelStreamSimulator
         from repro.kernels import BoxFilterKernel
 
         config = ArchitectureConfig(
             image_width=32, image_height=32, window_size=8, decomposition_levels=2
         )
-        with pytest.raises(ConfigError):
-            CompressedCycleEngine(config, BoxFilterKernel(8))
         with pytest.raises(ConfigError):
             PixelStreamSimulator(config, BoxFilterKernel(8))
 

@@ -106,13 +106,10 @@ class TestDpcmConfig:
         assert np.array_equal(codec.decode_band(codec.encode_band(band)), band)
 
     def test_register_engines_reject_dpcm(self):
-        from repro import CompressedCycleEngine
         from repro.core.window.stream import PixelStreamSimulator
 
         config = ArchitectureConfig(
             image_width=32, image_height=32, window_size=8, ll_dpcm=True
         )
-        with pytest.raises(ConfigError):
-            CompressedCycleEngine(config, BoxFilterKernel(8))
         with pytest.raises(ConfigError):
             PixelStreamSimulator(config, BoxFilterKernel(8))

@@ -1,11 +1,12 @@
-"""Tests for the pixel-level streaming simulator."""
+"""Tests for the pixel-level, register-level streaming simulator."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro import ArchitectureConfig, CompressedEngine, TraditionalEngine
+from repro import ArchitectureConfig, CompressedEngine, StateError, TraditionalEngine
+from repro.core.packing.nbits import NBitsGateModel
 from repro.core.transform.hwmodel import Haar2DBlock, InverseHaar2DBlock
 from repro.core.window.stream import PixelStreamSimulator
 from repro.kernels import BoxFilterKernel, MedianKernel
@@ -20,16 +21,21 @@ def cfg(**kw):
 
 
 class TestStreamEquivalence:
-    @pytest.mark.parametrize("threshold", [0, 2, 6])
-    def test_bit_identical_to_fast_engine(self, rng, threshold):
+    @pytest.mark.parametrize(
+        ("threshold", "bands", "levels"),
+        [(0, "all", 256), (2, "all", 256), (6, "all", 256), (20, "details", 6)],
+        ids=["0", "2", "6", "details-low"],
+    )
+    def test_bit_identical_to_fast_engine(self, rng, threshold, bands, levels):
         """The pixel-level dataflow reproduces the band engine exactly —
-        lossless and lossy."""
-        config = cfg(threshold=threshold)
-        img = random_image(rng, 14, 16)
+        lossless and lossy.  On a low-valued frame a large threshold would
+        zero the LL sub-band, so ``"details"`` checks its exemption."""
+        config = cfg(threshold=threshold, threshold_bands=bands)
+        img = random_image(rng, 14, 16) % levels
         kernel = BoxFilterKernel(4)
         sim = PixelStreamSimulator(config, kernel).run(img)
-        fast = CompressedEngine(config, kernel).run(img)
-        assert np.allclose(sim.outputs, fast.outputs)
+        fast = CompressedEngine(config, kernel, recirculate=True).run(img)
+        assert np.array_equal(sim.outputs, fast.outputs)
         assert np.array_equal(sim.reconstruction, fast.reconstruction)
 
     def test_lossless_matches_traditional(self, rng):
@@ -123,6 +129,35 @@ class TestVectorisedPairs:
 
 
 class TestDataflowInvariants:
+    def test_record_fifo_underflow_raises(self, rng):
+        class NoWrites(PixelStreamSimulator):
+            def _write_pair(self, x, even_col, odd_col):
+                return 0
+
+        with pytest.raises(StateError, match="underflow"):
+            NoWrites(cfg(), BoxFilterKernel(4)).run(random_image(rng, 14, 16))
+
+    def test_out_of_order_pop_raises(self, rng):
+        class SwappedPairs(PixelStreamSimulator):
+            def _write_pair(self, x, even_col, odd_col):
+                stored = super()._write_pair(x, even_col, odd_col)
+                odd, even = self._records.pop(), self._records.pop()
+                self._records.extend([odd, even])
+                return stored
+
+        with pytest.raises(StateError, match="out-of-order"):
+            SwappedPairs(cfg(), BoxFilterKernel(4)).run(random_image(rng, 14, 16))
+
+    def test_gate_tree_disagreement_raises(self, rng):
+        class OffByOneGate(NBitsGateModel):
+            def min_bits(self, values):
+                return super().min_bits(values) + 1
+
+        sim = PixelStreamSimulator(cfg(), BoxFilterKernel(4))
+        sim._gate = OffByOneGate(sim._gate.width)
+        with pytest.raises(StateError, match="gate-tree NBits"):
+            sim.run(random_image(rng, 14, 16))
+
     def test_no_underflow_and_ordered_pops(self, rng):
         """Completing a run without StateError is the causality proof —
         the simulator checks order and availability at every pop."""
@@ -149,6 +184,16 @@ class TestDataflowInvariants:
         sim_s.run(smooth)
         assert sim_s.bits_peak < sim_n.bits_peak
 
+    def test_peaks_are_per_run(self, rng):
+        config = cfg(image_width=32, image_height=16, window_size=4, threshold=6)
+        noise = random_image(rng, 16, 32)
+        smooth = random_image(rng, 16, 32, smooth=True)
+        sim = PixelStreamSimulator(config, BoxFilterKernel(4))
+        sim.run(noise)
+        again = sim.run(smooth).stats.buffer_bits_peak
+        fresh = PixelStreamSimulator(config, BoxFilterKernel(4)).run(smooth)
+        assert again == fresh.stats.buffer_bits_peak == sim.bits_peak
+
     def test_stats_fields(self, rng):
         config = cfg()
         img = random_image(rng, 14, 16)
@@ -156,3 +201,32 @@ class TestDataflowInvariants:
         assert run.stats.outputs == 11 * 13
         assert run.stats.pixels_in == 14 * 16
         assert run.stats.buffer_bits_peak > 0
+
+
+class TestPinnedPeaks:
+    """Resident-bit and record-FIFO peaks of the configurations above.
+    Per column the datapath holds the codec's payload bits plus two NBits
+    fields and N BitMap bits; these pinned values hold it to exactly that."""
+
+    @pytest.mark.parametrize(
+        ("overrides", "smooth", "bits_peak", "fifo_peak"),
+        [
+            (dict(threshold=0), False, 722, 16),
+            (dict(threshold=2), False, 722, 16),
+            (dict(threshold=6), False, 715, 16),
+            (dict(coefficient_bits=8, wrap_coefficients=True), False, 698, 16),
+            (dict(image_width=20, image_height=18, window_size=6), False, 1300, 20),
+            (dict(image_width=32, image_height=16, threshold=6), False, 1428, 32),
+            (dict(image_width=32, image_height=16, threshold=6), True, 710, 32),
+        ],
+    )
+    def test_peaks_unchanged(self, rng, overrides, smooth, bits_peak, fifo_peak):
+        config = cfg(**overrides)
+        h, w = config.image_height, config.image_width
+        img = random_image(rng, h, w)
+        if smooth:  # drawn after the noise frame, as in the test above
+            img = random_image(rng, h, w, smooth=True)
+        sim = PixelStreamSimulator(config, BoxFilterKernel(config.window_size))
+        run = sim.run(img)
+        assert run.stats.buffer_bits_peak == bits_peak
+        assert sim.fifo_peak == fifo_peak
