@@ -52,11 +52,12 @@ def golden_apply(
 
     Kernels exposing an ``apply_image`` method (the convolution family)
     take a dense whole-image route that skips window materialisation
-    entirely; per-output summation order is identical to the windowed
-    path's operand set but associates differently, so results agree to
-    float tolerance (bit-exactly for integer taps).  The windowed path
-    remains the oracle for strided sampling and kernels that genuinely
-    need the window tensor.
+    entirely.  For the box filter on integer pixels both routes compute
+    the exact int64 window sum over ``N^2``, so results are bit-identical
+    at every N; a generic float-tap correlation sums the same operands
+    in a different association, agreeing to float tolerance (exactly for
+    integer taps).  The windowed path remains the oracle for strided
+    sampling and kernels that genuinely need the window tensor.
     """
     kern = as_kernel(kernel, window_size=window_size)
     if row_stride == 1:

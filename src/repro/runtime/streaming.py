@@ -448,7 +448,7 @@ class StreamingProcessor:
         sup = self._supervisor
         if sup is not None and not sup.pool_usable:
             if task.attempt == 0:
-                self._run_inline(task.index, task.slot)
+                self._run_inline(sup, task.index, task.slot)
             return
         try:
             self._pool.apply_async(
@@ -507,24 +507,34 @@ class StreamingProcessor:
             self._inline = base.build(probe=self.probe)
         return self._inline
 
-    def _run_inline(self, index: int, slot: int) -> None:
+    def _run_inline(self, sup: FrameSupervisor, index: int, slot: int) -> None:
         """Compute a frame in the driver process (the degradation floor).
 
         Reads the input from the frame's ring slot and writes the outputs
         back in place, exactly like a worker would — concurrent stale
         attempts write the same bytes, the engine being deterministic —
         then queues a synthetic completion so delivery flows through the
-        one consumption path.
+        one consumption path.  An exception fails only this frame (an
+        ``inline-error`` :class:`FrameFailure`): it must never escape into
+        the driver loop, whose thread serves every other frame.
         """
-        engine = self._inline_engine(index)
-        frame = np.asarray(self._ring.input_view(slot))
-        t0 = time.perf_counter()
-        run = engine.run(frame)
-        seconds = time.perf_counter() - t0
-        self._ring.output_view(slot)[...] = run.outputs
-        sup = self._supervisor
-        if sup is not None:
-            sup.count_degraded()
+        try:
+            engine = self._inline_engine(index)
+            frame = np.asarray(self._ring.input_view(slot))
+            t0 = time.perf_counter()
+            run = engine.run(frame)
+            seconds = time.perf_counter() - t0
+            self._ring.output_view(slot)[...] = run.outputs
+        except Exception as exc:  # noqa: BLE001 - becomes the frame's failure
+            self._quarantine(
+                sup,
+                index,
+                attempts=sup.attempts(index),
+                reason="inline-error",
+                error=repr(exc),
+            )
+            return
+        sup.count_degraded()
         self._done.put(
             (
                 "ok",
@@ -597,20 +607,35 @@ class StreamingProcessor:
                     )
                 )
             elif isinstance(action, DegradeAction):
-                self._run_inline(action.index, action.slot)
+                self._run_inline(sup, action.index, action.slot)
             else:
-                slot = sup.finish_failed(action.index, now)
-                if slot is not None:
-                    self._ring.release(slot)
-                self._task_specs.pop(action.index, None)
-                self._pending_failures.append(
-                    FrameFailure(
-                        index=action.index,
-                        attempts=action.attempts,
-                        reason=action.reason,
-                        error=action.error,
-                    )
+                self._quarantine(
+                    sup,
+                    action.index,
+                    attempts=action.attempts,
+                    reason=action.reason,
+                    error=action.error,
+                    now=now,
                 )
+
+    def _quarantine(
+        self,
+        sup: FrameSupervisor,
+        index: int,
+        *,
+        attempts: int,
+        reason: str,
+        error: str,
+        now: float | None = None,
+    ) -> None:
+        """Give up on ``index``: free its slot, queue its :class:`FrameFailure`."""
+        slot = sup.finish_failed(index, now)
+        if slot is not None:
+            self._ring.release(slot)
+        self._task_specs.pop(index, None)
+        self._pending_failures.append(
+            FrameFailure(index=index, attempts=attempts, reason=reason, error=error)
+        )
 
     # -- consumption ------------------------------------------------------
 

@@ -49,7 +49,7 @@ from ..errors import ConfigError
 from ..observability.probe import Probe
 
 #: Reasons a frame can be quarantined (``FrameFailure.reason``).
-FAILURE_REASONS: tuple[str, ...] = ("poison", "pool-unrecoverable")
+FAILURE_REASONS: tuple[str, ...] = ("poison", "pool-unrecoverable", "inline-error")
 
 
 @dataclass(frozen=True, slots=True)
@@ -310,6 +310,11 @@ class FrameSupervisor:
     def is_tracked(self, index: int) -> bool:
         """True while ``index`` awaits delivery."""
         return index in self._tracked
+
+    def attempts(self, index: int) -> int:
+        """Attempts ``index`` has consumed so far (0 once untracked)."""
+        frame = self._tracked.get(index)
+        return 0 if frame is None else frame.attempt + 1
 
     # -- event intake ------------------------------------------------------
 

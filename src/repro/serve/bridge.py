@@ -79,6 +79,11 @@ class FrameBridge:
             self._thread.start()
 
     @property
+    def alive(self) -> bool:
+        """True while the driver thread runs (``/healthz`` liveness)."""
+        return self._thread.is_alive()
+
+    @property
     def depth(self) -> int:
         """Jobs accepted and not yet resolved (queued + on the ring)."""
         with self._lock:

@@ -437,11 +437,21 @@ class FrameGateway:
         return 1
 
     def _handle_healthz(self) -> tuple[bytes, int]:
-        """Liveness plus the capacity numbers a balancer would want."""
+        """Liveness plus the capacity numbers a balancer would want.
+
+        Answers 503 ``driver-dead`` once the bridge's driver thread has
+        stopped: no frame can be served then, however healthy the pool.
+        """
         processor = self._state.processor
         bridge = self._state.bridge
+        if processor is None:
+            status = "starting"
+        elif bridge is None or not bridge.alive:
+            status = "driver-dead"
+        else:
+            status = "ok"
         body = {
-            "status": "ok" if processor is not None else "starting",
+            "status": status,
             "uptime_seconds": (
                 time.monotonic() - self._state.started_at
                 if self._state.started_at
@@ -458,7 +468,8 @@ class FrameGateway:
             "errors": self._state.errors,
             "spec_cache_size": len(self.spec_cache),
         }
-        return json_response(200, body), 200
+        code = 503 if status == "driver-dead" else 200
+        return json_response(code, body), code
 
     def _handle_metrics(self) -> tuple[bytes, int]:
         """Prometheus text of the merged gateway + runtime registries."""

@@ -15,11 +15,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from repro import ArchitectureConfig, CompressedEngine
+from repro import ArchitectureConfig, CompressedEngine, TraditionalEngine
 from repro.core.packing.hw_pack import BitPackingUnit
 from repro.core.packing.nbits import NBitsGateModel, min_bits_signed
 from repro.core.packing.packer import BandCodec
+from repro.core.window.golden import golden_apply
 from repro.core.window.stream import PixelStreamSimulator
+from repro.core.window.traditional import TraditionalCycleEngine
 from repro.kernels import BoxFilterKernel
 
 #: Bit-true register-level streaming is the slowest fidelity check.
@@ -48,10 +50,10 @@ def streamed_frames(draw):
     """A small frame plus a single-level config covering both threshold
     policies and both datapath modes.  Low-valued frames keep the LL
     coefficients under the larger thresholds, where the details-only
-    policy's LL exemption changes the stored bits.  Power-of-two windows
-    keep the box filter's 1/N^2 weights exact, so outputs compare bit for
-    bit."""
-    window = draw(st.sampled_from([2, 4, 8]))
+    policy's LL exemption changes the stored bits.  The box filter's
+    output is the exact integer window sum over N^2 on every route, so
+    outputs compare bit for bit at non-power-of-two windows too."""
+    window = draw(st.sampled_from([2, 4, 6, 8]))
     width = 2 * draw(st.integers(max(window // 2, 2), 8))
     height = draw(st.integers(window + 1, 12))
     levels = draw(st.sampled_from([6, 256]))
@@ -98,6 +100,30 @@ def test_register_model_matches_recirculating_engine(case):
     expected = CompressedEngine(config, kernel, recirculate=True).run(frame)
     assert np.array_equal(streamed.outputs, expected.outputs)
     assert np.array_equal(streamed.reconstruction, expected.reconstruction)
+
+
+@pytest.mark.parametrize("window", [6, 12])
+def test_engine_matrix_bit_identical_at_non_power_of_two_window(window):
+    """1/N^2 is inexact for N = 6, 12: every engine must still produce the
+    same box outputs bit for bit, windowed (cycle and register-level
+    models) or whole-image (golden, traditional, compressed)."""
+    frame = np.random.default_rng(window).integers(0, 256, size=(20, 24))
+    config = ArchitectureConfig(
+        image_width=24, image_height=20, window_size=window, threshold=0
+    )
+    kernel = BoxFilterKernel(window)
+    expected = golden_apply(frame, window, kernel)
+    runs = {
+        "traditional": TraditionalEngine(config, kernel).run(frame),
+        "traditional-cycle": TraditionalCycleEngine(config, kernel).run(frame),
+        "compressed-fast": CompressedEngine(config, kernel, fast_path=True).run(frame),
+        "compressed-sequential": CompressedEngine(
+            config, kernel, fast_path=False
+        ).run(frame),
+        "pixel-stream": PixelStreamSimulator(config, kernel).run(frame),
+    }
+    for name, run in runs.items():
+        assert np.array_equal(run.outputs, expected), name
 
 
 @given(bands)

@@ -495,6 +495,84 @@ class TestInlineFallback:
             assert np.array_equal(r.outputs, expected[r.index])
 
 
+class _RaisingEngine:
+    """Inline engine stand-in that fails the way a bad input does."""
+
+    def run(self, frame):
+        raise ConfigError("pixel outside the configured range")
+
+
+class TestInlineErrors:
+    """An exception in the inline degradation floor fails only its frame:
+    it must not escape the consumption loop (a serving bridge's driver
+    thread would die with it) nor leak the frame's ring slot."""
+
+    def test_degrade_action_error_fails_only_that_frame(self, rng, monkeypatch):
+        config = make_config()
+        kernel = BoxFilterKernel(WINDOW)
+        frames = make_frames(rng, 5)
+        expected = expected_outputs(config, kernel, frames)
+        spec = EngineSpec(
+            config=config, kernel=kernel, chaos=ChaosSpec(raise_always_on=(2,))
+        )
+        with StreamingProcessor.from_spec(
+            spec, workers=2, supervision=fast_policy(max_attempts=2)
+        ) as proc:
+            monkeypatch.setattr(
+                proc, "_inline_engine", lambda index: _RaisingEngine()
+            )
+            outcomes = list(proc.map(frames, timeout=30.0))
+            free = proc.drain(timeout=10.0)
+            stats = proc.supervisor_stats
+            assert free == proc.slots
+        assert [o.index for o in outcomes] == list(range(5))
+        failure = outcomes[2]
+        assert isinstance(failure, FrameFailure)
+        assert failure.reason == "inline-error"
+        assert failure.attempts == 2
+        assert "ConfigError" in failure.error
+        for o in outcomes[:2] + outcomes[3:]:
+            assert isinstance(o, StreamResult)
+            assert np.array_equal(o.outputs, expected[o.index])
+        assert stats.quarantined == 1
+        assert stats.degraded == 0
+
+    def test_unusable_pool_inline_error_fails_only_that_frame(
+        self, rng, monkeypatch
+    ):
+        config = make_config()
+        kernel = BoxFilterKernel(WINDOW)
+        frames = make_frames(rng, 4)
+        expected = expected_outputs(config, kernel, frames)
+        with StreamingProcessor(
+            config,
+            kernel,
+            workers=1,
+            supervision=fast_policy(respawn_pool=False),
+        ) as proc:
+            def broken(*args, **kwargs):
+                raise RuntimeError("pool is gone")
+
+            def inline_engine(index, real=proc._inline_engine):
+                return _RaisingEngine() if index == 1 else real(index)
+
+            monkeypatch.setattr(proc._pool, "apply_async", broken)
+            monkeypatch.setattr(proc, "_inline_engine", inline_engine)
+            outcomes = []
+            for frame in frames:
+                proc.submit(frame, timeout=30.0)
+                outcome = proc.poll(timeout=10.0)
+                assert outcome is not None
+                outcomes.append(outcome)
+            assert proc.drain(timeout=10.0) == proc.slots
+        assert [o.index for o in outcomes] == list(range(4))
+        assert isinstance(outcomes[1], FrameFailure)
+        assert outcomes[1].reason == "inline-error"
+        for o in (outcomes[0], *outcomes[2:]):
+            assert o.degraded
+            assert np.array_equal(o.outputs, expected[o.index])
+
+
 class TestRingIntegrity:
     def test_no_dev_shm_leak_after_kill_and_close(self, rng, tmp_path):
         import pathlib

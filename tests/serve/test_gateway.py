@@ -134,6 +134,22 @@ class TestRouting:
         assert "repro_request_seconds" in text
 
 
+class TestLiveness:
+    def test_healthz_503_once_driver_thread_stops(self):
+        config = GatewayConfig(
+            port=0, resolution=16, window=WINDOW, workers=1, warm_frames=0
+        )
+        with GatewayThread(config) as gw:
+            status, _, body = request(gw, "GET", "/healthz")
+            assert (status, json.loads(body)["status"]) == (200, "ok")
+            bridge = gw.gateway._state.bridge
+            bridge.close()
+            assert not bridge.alive
+            status, _, body = request(gw, "GET", "/healthz")
+            assert status == 503
+            assert json.loads(body)["status"] == "driver-dead"
+
+
 class TestBadFrameJobs:
     def test_non_json_body_400(self, gateway):
         status, _, _ = request(gateway, "POST", "/v1/frames", b"not json")
